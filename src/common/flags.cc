@@ -3,10 +3,42 @@
 #include <cerrno>
 #include <cstdlib>
 
+#include "common/logging.h"
 #include "common/parallel_for.h"
 #include "obs/telemetry.h"
 
 namespace mamdr {
+
+namespace {
+
+/// The one checked number parse behind every numeric getter: `parse`
+/// (strtoll/strtod shaped) must consume all of `text` without overflow.
+template <typename Parse>
+auto ParseWhole(const std::string& name, const std::string& text,
+                const char* kind, Parse parse)
+    -> Result<decltype(parse(text.c_str(), nullptr))> {
+  errno = 0;
+  char* end = nullptr;
+  const auto parsed = parse(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size() || errno == ERANGE) {
+    return Status::InvalidArgument("--" + name + ": '" + text + "' is not " +
+                                   kind);
+  }
+  return parsed;
+}
+
+/// A malformed flag value is a usage error: name it and exit 2, as the
+/// tools do for unknown flags.
+template <typename T>
+T ValueOrExit(Result<T> value) {
+  if (!value.ok()) {
+    MAMDR_LOG(Error) << value.status().message();
+    std::exit(2);
+  }
+  return value.value();
+}
+
+}  // namespace
 
 Result<FlagParser> FlagParser::Parse(int argc, const char* const* argv) {
   FlagParser parser;
@@ -45,19 +77,18 @@ std::string FlagParser::GetString(const std::string& name,
 
 int64_t FlagParser::GetInt(const std::string& name,
                            int64_t default_value) const {
-  queried_.insert(name);
-  auto it = values_.find(name);
-  return it == values_.end()
-             ? default_value
-             : std::strtoll(it->second.c_str(), nullptr, 10);
+  return ValueOrExit(GetIntChecked(name, default_value));
 }
 
 double FlagParser::GetDouble(const std::string& name,
                              double default_value) const {
   queried_.insert(name);
   auto it = values_.find(name);
-  return it == values_.end() ? default_value
-                             : std::strtod(it->second.c_str(), nullptr);
+  if (it == values_.end()) return default_value;
+  return ValueOrExit(ParseWhole(name, it->second, "a number",
+                                [](const char* s, char** end) {
+                                  return std::strtod(s, end);
+                                }));
 }
 
 bool FlagParser::GetBool(const std::string& name, bool default_value) const {
@@ -72,15 +103,10 @@ Result<int64_t> FlagParser::GetIntChecked(const std::string& name,
   queried_.insert(name);
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;
-  const std::string& text = it->second;
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(text.c_str(), &end, 10);
-  if (text.empty() || end != text.c_str() + text.size() || errno == ERANGE) {
-    return Status::InvalidArgument("--" + name + ": '" + text +
-                                   "' is not an integer");
-  }
-  return static_cast<int64_t>(parsed);
+  return ParseWhole(name, it->second, "an integer",
+                    [](const char* s, char** end) {
+                      return static_cast<int64_t>(std::strtoll(s, end, 10));
+                    });
 }
 
 Status ApplyGlobalFlags(const FlagParser& flags) {

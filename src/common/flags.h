@@ -2,7 +2,9 @@
 //
 // Supports "--name=value", "--name value", and boolean "--name". Typed
 // getters consume defaults; Unrecognized() reports unknown flags so tools
-// can fail fast on typos.
+// can fail fast on typos. A numeric value must parse in full: GetInt and
+// GetDouble treat "--epochs abc" or "--lr 0.1x" as a usage error, log the
+// flag and exit the process with status 2.
 #ifndef MAMDR_COMMON_FLAGS_H_
 #define MAMDR_COMMON_FLAGS_H_
 
@@ -28,9 +30,9 @@ class FlagParser {
   double GetDouble(const std::string& name, double default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;
 
-  /// Like GetInt, but rejects values that are not a full decimal integer
-  /// (e.g. "--threads=abc" or "--threads=3x") with InvalidArgument instead
-  /// of silently returning a partial parse / zero.
+  /// Like GetInt, but returns InvalidArgument for a value that is not a
+  /// full decimal integer (e.g. "--threads=abc" or "--threads=3x") instead
+  /// of exiting, so the caller picks the error path.
   Result<int64_t> GetIntChecked(const std::string& name,
                                 int64_t default_value) const;
 

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/lockdep.h"
+#include "common/net.h"
 
 namespace mamdr {
 namespace ps {
@@ -29,94 +30,16 @@ FaultProxy::FaultProxy(FaultProxyConfig config,
   MAMDR_CHECK(target_port_ != nullptr);
 }
 
-FaultProxy::~FaultProxy() { Stop(); }
-
 Status FaultProxy::Start() {
-  if (running_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("fault proxy already running");
-  }
-  MAMDR_RETURN_IF_ERROR(listener_.Bind(0));
-  port_ = listener_.port();
-  stopping_.store(false, std::memory_order_release);
-  running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
+  return sessions_.Start(
+      0, [this](SessionServer::Session* s) { RunSession(s); });
 }
 
-void FaultProxy::Stop() {
-  if (!running_.load(std::memory_order_acquire)) return;
-  stopping_.store(true, std::memory_order_release);
-  listener_.Wake();  // event-driven: pops PollAccept(-1) immediately
-  if (accept_thread_.joinable()) accept_thread_.join();
-  // Cut every live session so its thread falls out of any blocked relay
-  // I/O, then join. The accept thread is gone, so sessions_ gains no new
-  // entries; fds close only under sessions_mu_, so these shutdowns can
-  // never hit a recycled fd number.
-  std::vector<Session*> to_join;
-  {
-    MutexLock lock(&sessions_mu_);
-    for (const std::unique_ptr<Session>& s : sessions_) {
-      cnet::ShutdownFd(s->client.get());
-      cnet::ShutdownFd(s->upstream.get());
-      to_join.push_back(s.get());
-    }
-  }
-  for (Session* s : to_join) {
-    if (s->thread.joinable()) s->thread.join();
-  }
-  {
-    MutexLock lock(&sessions_mu_);
-    sessions_.clear();
-  }
-  listener_.Close();
-  port_ = 0;
-  running_.store(false, std::memory_order_release);
-}
+void FaultProxy::Stop() { sessions_.Stop(); }
 
 FaultProxyStats FaultProxy::stats() const {
   MutexLock lock(&mu_);
   return stats_;
-}
-
-void FaultProxy::AcceptLoop() {
-  for (;;) {
-    const Result<int> accepted = listener_.PollAccept(/*timeout_ms=*/-1);
-    if (stopping_.load(std::memory_order_acquire)) {
-      if (accepted.ok() && accepted.value() >= 0) {
-        cnet::ScopedFd drop(accepted.value());
-      }
-      return;
-    }
-    if (!accepted.ok()) return;
-    if (accepted.value() < 0) continue;
-    ReapFinishedSessions();
-    auto owned = std::make_unique<Session>();
-    Session* s = owned.get();
-    s->client.reset(accepted.value());
-    {
-      MutexLock lock(&sessions_mu_);
-      sessions_.push_back(std::move(owned));
-    }
-    s->thread = std::thread([this, s] { RunSession(s); });
-  }
-}
-
-void FaultProxy::ReapFinishedSessions() {
-  std::vector<std::unique_ptr<Session>> finished;
-  {
-    MutexLock lock(&sessions_mu_);
-    for (auto it = sessions_.begin(); it != sessions_.end();) {
-      if ((*it)->done.load(std::memory_order_acquire)) {
-        finished.push_back(std::move(*it));
-        it = sessions_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (std::unique_ptr<Session>& s : finished) {
-    if (s->thread.joinable()) s->thread.join();
-  }
 }
 
 Result<std::string> FaultProxy::ReadRawFrame(int fd, bool* clean_close) {
@@ -145,7 +68,7 @@ Result<std::string> FaultProxy::ReadRawFrame(int fd, bool* clean_close) {
   return frame;
 }
 
-void FaultProxy::RunSession(Session* s) {
+void FaultProxy::RunSession(SessionServer::Session* s) {
   bool refuse;
   {
     MutexLock lock(&mu_);
@@ -159,17 +82,11 @@ void FaultProxy::RunSession(Session* s) {
     while (RelayExchange(s)) {
     }
   }
-  {
-    MutexLock lock(&sessions_mu_);
-    s->client.reset();
-    s->upstream.reset();
-  }
-  s->done.store(true, std::memory_order_release);
 }
 
-bool FaultProxy::RelayExchange(Session* s) {
+bool FaultProxy::RelayExchange(SessionServer::Session* s) {
   bool clean_close = false;
-  Result<std::string> request = ReadRawFrame(s->client.get(), &clean_close);
+  Result<std::string> request = ReadRawFrame(s->peer(), &clean_close);
   if (!request.ok()) {
     if (!clean_close) {
       MutexLock lock(&mu_);
@@ -195,7 +112,7 @@ bool FaultProxy::RelayExchange(Session* s) {
     mangle_draw = rng_.NextU64();  // byte position for cuts/flips
   }
 
-  if (!s->upstream.valid()) {
+  if (s->upstream() < 0) {
     // Lazy per-session upstream dial, re-resolving the target port: a
     // shard respawned on a fresh port is found by the next session.
     const int port = target_port_();
@@ -207,8 +124,7 @@ bool FaultProxy::RelayExchange(Session* s) {
       ++stats_.relay_errors;
       return false;
     }
-    MutexLock lock(&sessions_mu_);
-    s->upstream.reset(conn.value());
+    sessions_.SetUpstream(s, cnet::ScopedFd(conn.value()));
   }
 
   if (corrupt_req) {
@@ -221,18 +137,18 @@ bool FaultProxy::RelayExchange(Session* s) {
     // connection cut mid-message, the client an unanswered request on a
     // now-dead connection.
     const size_t keep = mangle_draw % req.size();
-    (void)cnet::SendAll(s->upstream.get(), req.data(), keep);
+    (void)cnet::SendAll(s->upstream(), req.data(), keep);
     MutexLock lock(&mu_);
     ++stats_.cut_requests;
     return false;
   }
-  if (!cnet::SendAll(s->upstream.get(), req.data(), req.size()).ok()) {
+  if (!cnet::SendAll(s->upstream(), req.data(), req.size()).ok()) {
     MutexLock lock(&mu_);
     ++stats_.relay_errors;
     return false;
   }
 
-  Result<std::string> response = ReadRawFrame(s->upstream.get());
+  Result<std::string> response = ReadRawFrame(s->upstream());
   if (!response.ok()) {
     MutexLock lock(&mu_);
     ++stats_.relay_errors;
@@ -257,12 +173,12 @@ bool FaultProxy::RelayExchange(Session* s) {
   }
   if (cut_resp) {
     const size_t keep = mangle_draw % resp.size();
-    (void)cnet::SendAll(s->client.get(), resp.data(), keep);
+    (void)cnet::SendAll(s->peer(), resp.data(), keep);
     MutexLock lock(&mu_);
     ++stats_.cut_responses;
     return false;
   }
-  return cnet::SendAll(s->client.get(), resp.data(), resp.size()).ok();
+  return cnet::SendAll(s->peer(), resp.data(), resp.size()).ok();
 }
 
 }  // namespace net

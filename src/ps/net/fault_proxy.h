@@ -32,25 +32,21 @@
 // point a ShardDirectory at proxy ports and the proxies chase the real
 // shards.
 //
-// Each session runs on its own thread (the accept thread reaps finished
-// ones), so a stalled session never blocks new connections; the
+// Each session runs on its own thread (a SessionServer, as in
+// ShardServer), so a stalled session never blocks new connections; the
 // client-side deadline watchdog bounds how long any exchange can take.
 #ifndef MAMDR_PS_NET_FAULT_PROXY_H_
 #define MAMDR_PS_NET_FAULT_PROXY_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "common/mutex.h"
-#include "common/net.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "ps/net/session_server.h"
 
 namespace mamdr {
 namespace ps {
@@ -95,7 +91,6 @@ class FaultProxy {
   /// `target_port` is called once per connection; returning 0 means the
   /// target is down (the proxy closes the client connection).
   FaultProxy(FaultProxyConfig config, std::function<int()> target_port);
-  ~FaultProxy();
 
   FaultProxy(const FaultProxy&) = delete;
   FaultProxy& operator=(const FaultProxy&) = delete;
@@ -103,28 +98,14 @@ class FaultProxy {
   Status Start();
   void Stop();
 
-  int port() const { return port_; }
+  int port() const { return sessions_.port(); }
   FaultProxyStats stats() const MAMDR_EXCLUDES(mu_);
 
  private:
-  /// One live relayed connection: its thread, both fds, and a done flag
-  /// the accept thread polls to reap finished sessions. Fds are reset
-  /// (closed) only under sessions_mu_, so Stop() can never cut a recycled
-  /// fd number.
-  struct Session {
-    std::thread thread;
-    ::mamdr::net::ScopedFd client;
-    ::mamdr::net::ScopedFd upstream;
-    std::atomic<bool> done{false};
-  };
-
-  void AcceptLoop();
-  void RunSession(Session* s);
+  void RunSession(SessionServer::Session* s);
   /// One request/response relay on an established session. Returns false
   /// when the session must end (fault cut, peer closed, upstream error).
-  bool RelayExchange(Session* s);
-  /// Join and drop every finished session (accept thread only).
-  void ReapFinishedSessions();
+  bool RelayExchange(SessionServer::Session* s);
 
   /// Read one whole frame (header + payload + CRC) as raw bytes, without
   /// validating the CRC — damaged bytes must still be relayed faithfully.
@@ -139,17 +120,8 @@ class FaultProxy {
   Rng rng_ MAMDR_GUARDED_BY(mu_);
   FaultProxyStats stats_ MAMDR_GUARDED_BY(mu_);
 
-  /// Session registry. Leaf lock: held only for list edits and fd
-  /// register/close, never across relay I/O or a join.
-  mutable Mutex sessions_mu_{MAMDR_LOCK_CLASS("ps.net.fault_proxy.sessions")};
-  std::vector<std::unique_ptr<Session>> sessions_
-      MAMDR_GUARDED_BY(sessions_mu_);
-
-  ::mamdr::net::Listener listener_;
-  int port_ = 0;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
+  // Last member, so it is destroyed first: session threads use the above.
+  SessionServer sessions_;
 };
 
 }  // namespace net

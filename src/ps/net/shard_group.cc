@@ -42,7 +42,6 @@ std::unique_ptr<ShardServer> ShardGroup::MakeShard(int shard) const {
   sc.ring_seed = config_.ring_seed;
   sc.checkpoint_path = CheckpointPathFor(shard);
   sc.read_deadline_us = config_.read_deadline_us;
-  sc.num_workers = config_.num_workers;
   sc.max_frame_bytes = config_.max_frame_bytes;
   if (!config_.trace_dir.empty()) {
     sc.trace_path = config_.trace_dir + "/shard-" + std::to_string(shard) +

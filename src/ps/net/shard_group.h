@@ -46,8 +46,6 @@ struct ShardGroupConfig {
   std::string checkpoint_dir;
   /// Per-connection kernel read deadline on every shard (<= 0 disables).
   int64_t read_deadline_us = 2'000'000;
-  /// Connections served in parallel per shard.
-  int num_workers = 4;
   size_t max_frame_bytes = size_t{64} << 20;
   /// Directory for per-shard Chrome-trace files ("shard-<i>.trace.json");
   /// "" disables shard tracing. A respawned shard overwrites its file, so

@@ -105,13 +105,8 @@ void ShardServer::RegisterMetrics() {
                                   obs::Stability::kRuntime);
   bytes_out_counter_ = reg.counter(ShardLabel("ps.net.shard.bytes_out", id),
                                    obs::Stability::kRuntime);
-  queue_depth_gauge_ = reg.gauge(ShardLabel("ps.net.shard.queue_depth", id),
-                                 obs::Stability::kRuntime);
   active_sessions_gauge_ = reg.gauge(
       ShardLabel("ps.net.shard.active_sessions", id),
-      obs::Stability::kRuntime);
-  worker_utilization_gauge_ = reg.gauge(
-      ShardLabel("ps.net.shard.worker_utilization", id),
       obs::Stability::kRuntime);
   // Queue waits are loopback-scheduler scale; handler latencies reach into
   // injected-latency territory. One canonical exponential ladder covers
@@ -129,89 +124,41 @@ void ShardServer::RegisterMetrics() {
   }
 }
 
-void ShardServer::UpdateUtilization(int64_t now_us) {
-  const int64_t up_us = now_us - serve_start_us_;
-  const int workers = config_.num_workers > 0 ? config_.num_workers : 1;
-  if (up_us <= 0) return;
-  const double util =
-      static_cast<double>(busy_us_.load(std::memory_order_relaxed)) /
-      (static_cast<double>(workers) * static_cast<double>(up_us));
-  worker_utilization_gauge_->Set(util < 1.0 ? util : 1.0);
-}
-
 ShardServer::~ShardServer() { Stop(); }
 
 Status ShardServer::Start(int port) {
-  if (running_.load(std::memory_order_acquire)) {
+  if (running()) {
     return Status::FailedPrecondition("shard server already running");
   }
-  MAMDR_RETURN_IF_ERROR(listener_.Bind(port));
   if (config_.metrics_port >= 0) {
     // Per-shard Prometheus endpoint. The registry is process-global; this
     // shard's series are the `{shard="id"}`-labelled ones.
     auto server = std::make_unique<serve::MetricsServer>();
-    const Status st = server->Start(config_.metrics_port);
-    if (!st.ok()) {
-      listener_.Close();
-      return st;
-    }
+    MAMDR_RETURN_IF_ERROR(server->Start(config_.metrics_port));
     metrics_server_ = std::move(server);
   }
-  port_ = listener_.port();
-  stopping_.store(false, std::memory_order_release);
-  running_.store(true, std::memory_order_release);
-  serve_start_us_ = obs::MonotonicMicros();
-  busy_us_.store(0, std::memory_order_relaxed);
   if (!config_.trace_path.empty()) {
     recorder_.SetProcess(1000 + config_.shard_id,
                          "shard-" + std::to_string(config_.shard_id));
     recorder_.Start();
   }
+  const Status st = sessions_.Start(
+      port, [this](SessionServer::Session* s) { ServeSession(*s); });
+  if (!st.ok()) {
+    recorder_.Stop();
+    metrics_server_.reset();
+    return st;
+  }
   up_gauge_->Set(1.0);
-  const int num_workers = config_.num_workers > 0 ? config_.num_workers : 1;
-  {
-    MutexLock lock(&queue_mu_);
-    workers_stop_ = false;
-    queue_.clear();
-    active_fds_.assign(static_cast<size_t>(num_workers), -1);
-  }
-  workers_.reserve(static_cast<size_t>(num_workers));
-  for (int i = 0; i < num_workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
-  }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
 }
 
 void ShardServer::Stop() {
-  if (!running_.load(std::memory_order_acquire)) return;
-  stopping_.store(true, std::memory_order_release);
-  // Event-driven shutdown: the self-pipe pops the accept thread out of its
-  // indefinite PollAccept immediately — no poll period, no accept timeout.
-  listener_.Wake();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  {
-    MutexLock lock(&queue_mu_);
-    workers_stop_ = true;
-    // Cut every in-flight session so a worker blocked in recv/send returns
-    // now instead of waiting out a read deadline; queued-but-unserved
-    // connections are dropped (their clients see a torn connection and
-    // retry against the respawned shard).
-    for (const int fd : active_fds_) cnet::ShutdownFd(fd);
-    queue_.clear();
-    queue_cv_.NotifyAll();
-  }
-  for (std::thread& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-  workers_.clear();
-  listener_.Close();
-  port_ = 0;
-  running_.store(false, std::memory_order_release);
-  if (metrics_server_ != nullptr) {
-    metrics_server_->Stop();
-    metrics_server_.reset();
-  }
+  if (!running()) return;
+  // Event-driven shutdown: no poll period, no accept timeout, and live
+  // sessions are cut rather than left to their read deadlines.
+  sessions_.Stop();
+  metrics_server_.reset();
   if (!config_.trace_path.empty()) {
     // One Chrome-trace file per logical shard process — the input contract
     // of tools/mamdr_tracemerge.py. A write failure must not turn a clean
@@ -224,71 +171,25 @@ void ShardServer::Stop() {
   up_gauge_->Set(0.0);
 }
 
-void ShardServer::AcceptLoop() {
-  for (;;) {
-    const Result<int> accepted = listener_.PollAccept(/*timeout_ms=*/-1);
-    if (stopping_.load(std::memory_order_acquire)) {
-      if (accepted.ok() && accepted.value() >= 0) {
-        cnet::ScopedFd drop(accepted.value());
-      }
-      return;
-    }
-    if (!accepted.ok()) return;  // listener broken; Stop() still joins
-    if (accepted.value() < 0) continue;
-    cnet::ScopedFd fd(accepted.value());
-    // Arm the kernel read deadline before any worker touches the fd: a
-    // peer that stalls mid-frame costs one worker at most the deadline.
-    if (config_.read_deadline_us > 0) {
-      (void)cnet::SetIoTimeout(fd.get(), config_.read_deadline_us);
-    }
-    MutexLock lock(&queue_mu_);
-    queue_.push_back({std::move(fd), obs::MonotonicMicros()});
-    queue_depth_gauge_->Set(static_cast<double>(queue_.size()));
-    queue_cv_.NotifyOne();
+void ShardServer::ServeSession(const SessionServer::Session& session) {
+  const int fd = session.peer();
+  const int64_t start_us = obs::MonotonicMicros();
+  queue_wait_us_->Observe(static_cast<double>(start_us - session.accept_us()));
+  if (recorder_.enabled()) {
+    // The wait predates any request frame, so it carries no trace context
+    // — it renders as a free-standing span on the shard's row.
+    obs::TraceEvent e;
+    e.name = "ps.shard.queue_wait";
+    e.category = "ps.shard";
+    e.ts_us = session.accept_us();
+    e.dur_us = start_us - session.accept_us();
+    recorder_.Record(std::move(e));
   }
-}
-
-void ShardServer::WorkerLoop(int slot) {
-  for (;;) {
-    cnet::ScopedFd fd;
-    int64_t enqueue_us = 0;
-    {
-      MutexLock lock(&queue_mu_);
-      while (queue_.empty() && !workers_stop_) queue_cv_.Wait(&queue_mu_);
-      if (workers_stop_) return;
-      fd = std::move(queue_.front().fd);
-      enqueue_us = queue_.front().enqueue_us;
-      queue_.pop_front();
-      queue_depth_gauge_->Set(static_cast<double>(queue_.size()));
-      active_fds_[static_cast<size_t>(slot)] = fd.get();
-    }
-    const int64_t pickup_us = obs::MonotonicMicros();
-    queue_wait_us_->Observe(static_cast<double>(pickup_us - enqueue_us));
-    if (recorder_.enabled()) {
-      // The queue wait predates any request frame, so it carries no trace
-      // context — it renders as a free-standing span on the shard's row.
-      obs::TraceEvent e;
-      e.name = "ps.shard.queue_wait";
-      e.category = "ps.shard";
-      e.ts_us = enqueue_us;
-      e.dur_us = pickup_us - enqueue_us;
-      recorder_.Record(std::move(e));
-    }
-    ServeSession(fd.get());
-    busy_us_.fetch_add(obs::MonotonicMicros() - pickup_us,
-                       std::memory_order_relaxed);
-    UpdateUtilization(obs::MonotonicMicros());
-    {
-      // Deregister and close under the queue lock, so Stop() can never cut
-      // a recycled fd number (see the header comment on queue_mu_).
-      MutexLock lock(&queue_mu_);
-      active_fds_[static_cast<size_t>(slot)] = -1;
-      fd.reset();
-    }
+  // Arm the kernel read deadline before the first read: a peer that
+  // stalls mid-frame holds this thread at most the deadline.
+  if (config_.read_deadline_us > 0) {
+    (void)cnet::SetIoTimeout(fd, config_.read_deadline_us);
   }
-}
-
-void ShardServer::ServeSession(int fd) {
   sessions_counter_->Add();
   active_sessions_gauge_->Set(static_cast<double>(
       active_sessions_.fetch_add(1, std::memory_order_relaxed) + 1));

@@ -7,17 +7,16 @@
 // client that means a routing bug or a corrupted-but-CRC-valid message, and
 // either way it must not be silently applied.
 //
-// Transport (PR 9): one accept thread blocks in PollAccept (woken by the
-// listener's self-pipe at Stop — no poll churn) and hands each accepted
-// connection to a small worker pool, so K clients are served in parallel
-// per shard. A connection is a *session*: the worker loops
-// read-frame / handle / write-frame until the peer closes at a frame
-// boundary (the clean end of a pooled client's connection) or errs. Every
-// accepted fd gets a kernel read deadline (net::SetIoTimeout) before a
-// worker sees it, so a peer that stalls mid-frame costs one worker at
-// most `read_deadline_us` — it can slow the shard, never wedge it.
-// Handlers serialize on the state lock (`ps.net.shard.state`); the worker
-// queue has its own leaf lock class (`ps.net.shard.workers`).
+// Transport: a SessionServer (the one FaultProxy uses too) serves each
+// accepted connection on its own thread, so every client that holds a
+// pooled connection is served at once, however many there are. A
+// connection is a *session*: its thread loops read-frame / handle /
+// write-frame until the peer closes at a frame boundary (the clean end of
+// a pooled client's connection) or errs. Each session first arms a kernel
+// read deadline (net::SetIoTimeout), so a peer that stalls mid-frame holds
+// its session thread for at most `read_deadline_us`; Stop() cuts every
+// live session and joins its thread. Handlers serialize on the state lock
+// (`ps.net.shard.state`).
 //
 // Mutation RPCs validate the complete message *before* touching any state,
 // so a push either applies entirely on this shard or not at all (per-shard
@@ -34,19 +33,17 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/mutex.h"
-#include "common/net.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "ps/net/hash_ring.h"
+#include "ps/net/session_server.h"
 #include "ps/net/wire.h"
 #include "serve/metrics_server.h"
 #include "tensor/tensor.h"
@@ -63,12 +60,10 @@ struct ShardServerConfig {
   uint64_t ring_seed = 0x6d616d6472u;
   /// Per-shard checkpoint file; "" disables checkpointing.
   std::string checkpoint_path;
-  /// Per-connection kernel I/O deadline: a peer that stalls mid-frame for
-  /// longer than this loses its connection (and the worker moves on).
-  /// <= 0 disables the deadline.
+  /// Per-connection kernel I/O deadline: a peer that sends nothing for
+  /// longer than this, mid-frame or idle between frames, loses its
+  /// connection and its session thread exits. <= 0 disables the deadline.
   int64_t read_deadline_us = 2'000'000;
-  /// Connections served in parallel per shard.
-  int num_workers = 4;
   /// Upper bound on a single frame payload (request or response).
   size_t max_frame_bytes = size_t{64} << 20;
   /// Per-shard Chrome-trace file: when non-empty the shard records handler
@@ -107,8 +102,8 @@ class ShardServer {
   /// Stop accepting and join. Idempotent; the destructor calls it.
   void Stop();
 
-  int port() const { return port_; }
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  int port() const { return sessions_.port(); }
+  bool running() const { return sessions_.running(); }
   int shard_id() const { return config_.shard_id; }
 
   /// Write the shard's state to config_.checkpoint_path (atomic, CRC'd).
@@ -138,12 +133,10 @@ class ShardServer {
   }
 
  private:
-  void AcceptLoop();
-  void WorkerLoop(int slot);
   /// Serve one connection's session: read-frame / handle / write-frame
   /// until the peer closes at a frame boundary (clean) or the stream
   /// fails (deadline, cut, corruption -> bad_requests).
-  void ServeSession(int fd);
+  void ServeSession(const SessionServer::Session& session);
 
   /// Op handlers: parse + validate fully, then apply. Return the ok-response
   /// body appended after the response header, or the error to encode.
@@ -161,9 +154,6 @@ class ShardServer {
   /// Register the shard-labelled registry metrics (idempotent: the
   /// registry find-or-creates, so a respawned shard reuses its series).
   void RegisterMetrics();
-  /// Recompute worker_utilization from accumulated busy time. `now_us` is
-  /// the caller's MonotonicMicros() reading.
-  void UpdateUtilization(int64_t now_us);
 
   const ShardServerConfig config_;
   const HashRing ring_;
@@ -180,50 +170,26 @@ class ShardServer {
   std::vector<Tensor> params_ MAMDR_GUARDED_BY(mu_);
   ShardStats stats_ MAMDR_GUARDED_BY(mu_);
 
-  ::mamdr::net::Listener listener_;
-  int port_ = 0;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-
-  // Worker pool. queue_mu_ is a leaf lock: held only for queue handoff and
-  // fd registration/close — never across a handler or any network I/O.
-  // Sessions close their fd *under* queue_mu_ after deregistering, so a
-  // registered fd number can never be recycled while Stop() walks
-  // active_fds_ cutting connections.
-  mutable Mutex queue_mu_{MAMDR_LOCK_CLASS("ps.net.shard.workers")};
-  CondVar queue_cv_;
-  /// A queued connection remembers when it was accepted so the worker that
-  /// picks it up can attribute the queue wait (span + histogram).
-  struct QueuedConn {
-    ::mamdr::net::ScopedFd fd;
-    int64_t enqueue_us = 0;
-  };
-  std::deque<QueuedConn> queue_ MAMDR_GUARDED_BY(queue_mu_);
-  bool workers_stop_ MAMDR_GUARDED_BY(queue_mu_) = false;
-  /// Fd each worker is currently serving (-1 idle), indexed by slot.
-  std::vector<int> active_fds_ MAMDR_GUARDED_BY(queue_mu_);
-  std::vector<std::thread> workers_;
-
   // Per-shard telemetry. The registry pointers are registry-lifetime;
   // RegisterMetrics() finds-or-creates them by shard-labelled name.
   obs::TraceRecorder recorder_;
   std::unique_ptr<serve::MetricsServer> metrics_server_;
-  std::atomic<int64_t> busy_us_{0};       // summed worker session time
   std::atomic<int> active_sessions_{0};
-  int64_t serve_start_us_ = 0;            // Start() timestamp
   obs::Gauge* up_gauge_ = nullptr;
   obs::Counter* requests_counter_ = nullptr;
   obs::Counter* bad_requests_counter_ = nullptr;
   obs::Counter* sessions_counter_ = nullptr;
   obs::Counter* bytes_in_counter_ = nullptr;
   obs::Counter* bytes_out_counter_ = nullptr;
-  obs::Gauge* queue_depth_gauge_ = nullptr;
   obs::Gauge* active_sessions_gauge_ = nullptr;
-  obs::Gauge* worker_utilization_gauge_ = nullptr;
+  /// Accept to session-thread start.
   obs::Histogram* queue_wait_us_ = nullptr;
   /// Per-op handler latency, indexed by op byte (kPing..kRestoreRows).
   std::vector<obs::Histogram*> op_us_by_op_;
+
+  // Last member, so it is destroyed first: session threads use everything
+  // above.
+  SessionServer sessions_;
 };
 
 }  // namespace net

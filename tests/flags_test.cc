@@ -84,6 +84,32 @@ TEST(FlagsTest, GetIntCheckedParsesAndRejects) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(FlagsTest, GetDoubleParsesWholeNumbers) {
+  auto flags = MustParse({"prog", "--lr=1e-3", "--neg=-2.5", "--int=4"});
+  EXPECT_DOUBLE_EQ(flags.GetDouble("lr", 0.0), 1e-3);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("neg", 0.0), -2.5);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("int", 0.0), 4.0);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("absent", 0.5), 0.5);
+}
+
+// A malformed numeric value must not become 0 (or a partial parse): the
+// binary exits 2 and names the flag.
+TEST(FlagsDeathTest, GetIntExitsOnMalformedValue) {
+  auto flags = MustParse({"prog", "--epochs", "abc", "--k=3x"});
+  EXPECT_EXIT(flags.GetInt("epochs", 10), ::testing::ExitedWithCode(2),
+              "--epochs: 'abc' is not an integer");
+  EXPECT_EXIT(flags.GetInt("k", 5), ::testing::ExitedWithCode(2),
+              "--k: '3x' is not an integer");
+}
+
+TEST(FlagsDeathTest, GetDoubleExitsOnMalformedValue) {
+  auto flags = MustParse({"prog", "--inner-lr=0.1x", "--scale="});
+  EXPECT_EXIT(flags.GetDouble("inner-lr", 1e-3), ::testing::ExitedWithCode(2),
+              "--inner-lr: '0.1x' is not a number");
+  EXPECT_EXIT(flags.GetDouble("scale", 1.0), ::testing::ExitedWithCode(2),
+              "--scale: '' is not a number");
+}
+
 TEST(FlagsTest, ApplyGlobalFlagsRejectsBadKernelThreads) {
   {
     auto flags = MustParse({"prog", "--kernel-threads=-2"});

@@ -451,7 +451,9 @@ TEST(ShardOwnershipTest, RejectsKeysOwnedByOtherShards) {
   ASSERT_LT(foreign_row, 64);
 
   auto code = [&](const std::string& req) {
-    PayloadReader r(server.HandleRequest(req));
+    // PayloadReader keeps a reference: the response must outlive it.
+    const std::string response = server.HandleRequest(req);
+    PayloadReader r(response);
     return DecodeResponseHeader(&r).code();
   };
   PayloadWriter w;

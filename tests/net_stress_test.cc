@@ -1,19 +1,24 @@
 // Stress / soak tier for the pooled networked parameter server.
 //
-// Three properties the fast matrices in net_ps_test can't establish:
+// Four properties the fast matrices in net_ps_test can't establish:
 //
 //   1. Concurrency soundness: N client threads hammering pooled,
-//      pipelined pull/push against M shards (each serving connections on a
-//      worker pool) leave the parameters scalar-exact — every push lands
-//      exactly once, under TSan and lockdep.
-//   2. No head-of-line blocking: a peer stalled mid-frame occupies one
-//      worker until the kernel read deadline kills it, and a concurrent
-//      fast client's RPC latency never approaches that deadline.
+//      pipelined pull/push against M shards (each serving every connection
+//      on its own session thread) leave the parameters scalar-exact —
+//      every push lands exactly once, under TSan and lockdep.
+//   2. No head-of-line blocking: a peer stalled mid-frame occupies its
+//      own session thread until the kernel read deadline kills it, and a
+//      concurrent fast client's RPC latency never approaches that
+//      deadline.
 //   3. Prompt shutdown: Stop() under live load (idle pooled connections
 //      parked in blocking reads, a mid-frame straggler, deadlines set far
 //      in the future) returns in milliseconds, not deadlines — the
 //      event-driven shutdown path (self-pipe accept wakeup + active-fd
 //      shutdown), not a poll cycle or a timeout expiry.
+//   4. No session cap: more pooled clients than a fixed pool would hold
+//      (six raw clients, or DistributedMamdr's four workers plus its admin
+//      client) are all served at once, none waiting for an idle session
+//      to be evicted at the read deadline.
 //
 // Determinism note: everything here asserts on *sums* and *statuses*, never
 // on interleavings, so the suite is load-tolerant by construction; all
@@ -28,17 +33,22 @@
 #include <gtest/gtest.h>
 
 #include "common/net.h"
+#include "common/random.h"
 #include "common/retry.h"
 #include "lockdep_guard.h"
+#include "models/registry.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
+#include "optim/param_snapshot.h"
+#include "ps/distributed_mamdr.h"
 #include "ps/net/net_ps_client.h"
 #include "ps/net/shard_directory.h"
 #include "ps/net/shard_group.h"
 #include "ps/net/shard_server.h"
+#include "test_util.h"
 
 // The stress suite is the lockdep workout for the new concurrency layers
-// (pool, shard worker pool, proxy sessions ride along in net_ps_test).
+// (pool, shard session threads, proxy sessions ride along in net_ps_test).
 MAMDR_ASSERT_LOCKDEP_CLEAN();
 
 namespace mamdr {
@@ -93,7 +103,6 @@ TEST(NetStressTest, ConcurrentPooledClientsConvergeExactly) {
 
   ShardGroupConfig gc;
   gc.num_shards = kShards;
-  gc.num_workers = 4;
   // No idle deadline: pooled connections park between ops, and sanitizer
   // slowdowns must not convert idle time into reconnect churn.
   gc.read_deadline_us = 0;
@@ -181,13 +190,13 @@ TEST(NetStressTest, StalledPeerDoesNotDelayFastClient) {
 
   ShardGroupConfig gc;
   gc.num_shards = 1;
-  gc.num_workers = 2;  // one worker eats the stall, one keeps serving
   gc.read_deadline_us = kDeadlineUs;
   ShardGroup group(gc, StressParams(), StressIsEmb());
   ASSERT_TRUE(group.Start().ok());
 
-  // A raw peer that sends half a frame header and goes silent: the worker
-  // serving it blocks in ReadFrame until the kernel read deadline fires.
+  // A raw peer that sends half a frame header and goes silent: the session
+  // thread serving it blocks in ReadFrame until the kernel read deadline
+  // fires.
   const Result<int> raw = cnet::ConnectLoopback(group.port(0));
   ASSERT_TRUE(raw.ok()) << raw.status().ToString();
   cnet::ScopedFd stalled(raw.value());
@@ -200,9 +209,9 @@ TEST(NetStressTest, StalledPeerDoesNotDelayFastClient) {
 
   // Were the server serial, the first ping would wait out the whole
   // deadline behind the stalled connection (>= kDeadlineUs); concurrent
-  // workers keep it orders of magnitude faster. Thresholds sit at half the
-  // deadline so neither sanitizer slowdowns nor a genuine stall can land
-  // in the ambiguous middle.
+  // session threads keep it orders of magnitude faster. Thresholds sit at
+  // half the deadline so neither sanitizer slowdowns nor a genuine stall
+  // can land in the ambiguous middle.
   int64_t max_ping_us = 0;
   for (int i = 0; i < kPings; ++i) {
     const int64_t t0 = obs::MonotonicMicros();
@@ -217,7 +226,7 @@ TEST(NetStressTest, StalledPeerDoesNotDelayFastClient) {
   EXPECT_EQ(after.count - before.count, static_cast<uint64_t>(kPings));
   EXPECT_LT(after.sum - before.sum, static_cast<double>(kDeadlineUs) / 2);
 
-  // The deadline then reclaims the stalled worker: the server cuts the
+  // The deadline then reclaims the stalled session: the server cuts the
   // connection (a mid-frame stream failure, so it counts as bad) and the
   // raw peer sees EOF.
   ASSERT_TRUE(cnet::SetIoTimeout(stalled.get(), 200'000).ok());
@@ -239,7 +248,6 @@ TEST(NetStressTest, StopReturnsPromptlyUnderLoad) {
 
   ShardGroupConfig gc;
   gc.num_shards = kShards;
-  gc.num_workers = 2;
   gc.read_deadline_us = 10'000'000;  // Stop must not wait for this
   ShardGroup group(gc, StressParams(), StressIsEmb());
   ASSERT_TRUE(group.Start().ok());
@@ -260,9 +268,10 @@ TEST(NetStressTest, StopReturnsPromptlyUnderLoad) {
   }
 
   // Stop = accept-thread wakeup via the listener self-pipe + shutdown of
-  // every registered worker fd. Milliseconds in practice; the 2s bound is
-  // sanitizer headroom while staying 5x under the read deadline (and miles
-  // under the old 50ms-poll worst case times the fd count).
+  // every live session fd, then a join of every session thread.
+  // Milliseconds in practice; the 2s bound is sanitizer headroom while
+  // staying 5x under the read deadline (and miles under the old 50ms-poll
+  // worst case times the fd count).
   const int64_t t0 = obs::MonotonicMicros();
   group.Stop();
   const int64_t stop_us = obs::MonotonicMicros() - t0;
@@ -270,6 +279,95 @@ TEST(NetStressTest, StopReturnsPromptlyUnderLoad) {
 
   // The group is down, not wedged: ops now fail with the retryable code.
   EXPECT_EQ(client.Ping(0).code(), StatusCode::kUnavailable);
+}
+
+// ---------------------------------------------------------------------------
+// 4. No session cap: every live pooled connection is served at once.
+
+TEST(NetStressTest, SixPooledClientsHoldLiveSessionsOnOneShard) {
+  constexpr int kClients = 6;
+
+  ShardGroupConfig gc;  // default config: 2 s read deadline
+  gc.num_shards = 1;
+  const int64_t deadline_us = gc.read_deadline_us;
+  ShardGroup group(gc, StressParams(), StressIsEmb());
+  ASSERT_TRUE(group.Start().ok());
+
+  // Each client opens its pooled session with its first ping and keeps it
+  // parked while the next client opens one. A server that caps concurrent
+  // sessions would leave the later clients waiting until an idle session
+  // is evicted at the read deadline.
+  std::vector<std::unique_ptr<NetPsClient>> clients;
+  for (int round = 0; round < 2; ++round) {
+    for (int c = 0; c < kClients; ++c) {
+      if (round == 0) {
+        clients.push_back(std::make_unique<NetPsClient>(
+            StressClientConfig(1), group.directory(), StressParams(),
+            StressIsEmb()));
+      }
+      const int64_t t0 = obs::MonotonicMicros();
+      ASSERT_TRUE(clients[static_cast<size_t>(c)]->Ping(0).ok())
+          << "round " << round << " client " << c;
+      EXPECT_LT(obs::MonotonicMicros() - t0, deadline_us / 2)
+          << "round " << round << " client " << c;
+    }
+  }
+  // All six sessions stayed live: one dial per client, nothing evicted.
+  for (int c = 0; c < kClients; ++c) {
+    const ConnectionPool::Stats ps =
+        clients[static_cast<size_t>(c)]->pool_stats();
+    EXPECT_EQ(ps.dials, 1u) << "client " << c;
+    EXPECT_EQ(ps.poisoned, 0u) << "client " << c;
+  }
+  EXPECT_EQ(group.shard_for_test(0)->stats().bad_requests, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// 5. The PS-Worker runtime over one default-config shard: four worker
+//    sessions plus the admin client's never queue behind each other.
+
+TEST(NetStressTest, DistributedEpochCheckpointAndEvalStayUnderReadDeadline) {
+  const data::MultiDomainDataset ds = mamdr::testing::TinyDataset(4, 150, 17);
+  const models::ModelConfig mc = mamdr::testing::TinyModelConfig(ds);
+  // Shard layout and initial values as DistributedMamdr derives them.
+  Rng rng(mc.seed);
+  auto model = models::CreateModel("MLP", mc, &rng);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  std::vector<bool> is_embedding;
+  MakeDefaultRowExtractor(model.value().get(), mc, &is_embedding);
+  const std::vector<Tensor> layout =
+      optim::Snapshot(model.value()->Parameters());
+
+  ShardGroupConfig gc;  // default config: 2 s read deadline
+  gc.num_shards = 1;
+  const int64_t deadline_us = gc.read_deadline_us;
+  ShardGroup group(gc, layout, is_embedding);
+  ASSERT_TRUE(group.Start().ok());
+
+  mamdr::testing::ScopedTempDir tmp("net_stress_dist");
+  DistributedConfig dc;
+  dc.num_workers = 4;
+  dc.train.epochs = 1;
+  dc.train.batch_size = 64;
+  dc.checkpoint_dir = tmp.str();
+  dc.ps_client_factory = [&](int64_t) -> std::unique_ptr<PsClient> {
+    return std::make_unique<NetPsClient>(NetPsClientConfig{},
+                                         group.directory(), layout,
+                                         is_embedding);
+  };
+  DistributedMamdr dist(mc, &ds, dc);
+  ASSERT_EQ(dist.num_workers(), 4);
+
+  // Four worker sessions and the admin client's session are all live at
+  // once; none of them may wait for another to be evicted.
+  const int64_t t0 = obs::MonotonicMicros();
+  ASSERT_TRUE(dist.TrainEpoch().ok());
+  ASSERT_TRUE(dist.SaveCheckpoint(1).ok());
+  const std::vector<double> aucs = dist.EvaluateTest();
+  const int64_t elapsed_us = obs::MonotonicMicros() - t0;
+  EXPECT_EQ(aucs.size(), static_cast<size_t>(ds.num_domains()));
+  EXPECT_LT(elapsed_us, deadline_us / 2);
+  EXPECT_EQ(group.shard_for_test(0)->stats().bad_requests, 0u);
 }
 
 }  // namespace

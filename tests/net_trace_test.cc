@@ -198,7 +198,7 @@ TEST(NetTraceTest, FanoutLinksOneChildPerShardIntoServerTraces) {
   EXPECT_EQ(children, expected_shards.size());
   EXPECT_EQ(child_shards, expected_shards);
 
-  // The accept->worker handoff is timed as a free-standing event.
+  // The accept->session-thread handoff is timed as a free-standing event.
   EXPECT_FALSE(Named(server_events[0], "ps.shard.queue_wait").empty());
 
   // Stopping the group flushes one Chrome-trace file per shard, in the

@@ -161,11 +161,7 @@ int main(int argc, char** argv) {
   const std::string fw_name = flags.GetString("framework", "MAMDR");
   const bool topk_eval = flags.GetBool("topk-eval", false);
   const std::string save_model = flags.GetString("save-model", "");
-  auto metrics_port = flags.GetIntChecked("metrics-port", 0);
-  if (!metrics_port.ok()) {
-    std::fprintf(stderr, "%s\n", metrics_port.status().ToString().c_str());
-    return 2;
-  }
+  const int64_t metrics_port = flags.GetInt("metrics-port", 0);
 
   const auto unknown = flags.Unrecognized();
   if (!unknown.empty()) {
@@ -175,8 +171,8 @@ int main(int argc, char** argv) {
   }
 
   serve::MetricsServer metrics_server;
-  if (metrics_port.value() > 0) {
-    Status s = metrics_server.Start(static_cast<int>(metrics_port.value()));
+  if (metrics_port > 0) {
+    Status s = metrics_server.Start(static_cast<int>(metrics_port));
     if (!s.ok()) {
       std::fprintf(stderr, "metrics-port: %s\n", s.ToString().c_str());
       return 1;
