@@ -1,5 +1,6 @@
 #include <cmath>
 #include <functional>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -90,6 +91,11 @@ struct OpCase {
   Shape a_shape{2, 3};
   Shape b_shape{2, 3};
 };
+
+// gtest otherwise prints the raw bytes of the case, pointers included, and
+// that text is part of the discovered ctest name; print only the case name so
+// the name is the same in every run.
+void PrintTo(const OpCase& oc, std::ostream* os) { *os << oc.name; }
 
 class OpGradTest : public ::testing::TestWithParam<OpCase> {};
 

@@ -1,3 +1,4 @@
+#include <ostream>
 #include <set>
 #include <string>
 
@@ -152,6 +153,10 @@ struct NamedConfigCase {
   SyntheticConfig config;
   int64_t expected_domains;
 };
+
+// Print only the label: the raw bytes gtest prints by default hold pointers,
+// which would make the discovered ctest name differ from run to run.
+void PrintTo(const NamedConfigCase& c, std::ostream* os) { *os << c.label; }
 
 class NamedConfigTest : public ::testing::TestWithParam<NamedConfigCase> {};
 
