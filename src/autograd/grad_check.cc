@@ -25,20 +25,21 @@ GradCheckResult CheckGradients(const std::function<Var()>& forward,
   // Numeric pass: central differences per element.
   for (size_t pi = 0; pi < params.size(); ++pi) {
     Var p = params[pi];
-    Tensor& val = p.mutable_value();
-    for (int64_t i = 0; i < val.size(); ++i) {
-      const float orig = val.at(i);
+    float* val = p.mutable_value().data();
+    const float* grad = analytic[pi].data();
+    for (int64_t i = 0; i < p.value().size(); ++i) {
+      const float orig = val[i];
       float lp, lm;
       {
         NoGradGuard ng;
-        val.at(i) = orig + eps;
-        lp = forward().value().at(0);
-        val.at(i) = orig - eps;
-        lm = forward().value().at(0);
-        val.at(i) = orig;
+        val[i] = orig + eps;
+        lp = forward().value().data()[0];
+        val[i] = orig - eps;
+        lm = forward().value().data()[0];
+        val[i] = orig;
       }
       const float numeric = (lp - lm) / (2.0f * eps);
-      const float a = analytic[pi].at(i);
+      const float a = grad[i];
       const float abs_err = std::fabs(numeric - a);
       const float rel_err =
           abs_err / std::max(1.0f, std::max(std::fabs(numeric), std::fabs(a)));

@@ -77,9 +77,6 @@ Var Dropout(const Var& a, float p, Rng* rng, bool training);
 /// logits and labels must have the same shape; labels in {0,1}.
 Var BceWithLogitsMean(const Var& logits, const Tensor& labels);
 
-/// Elementwise sigmoid of logits as plain Tensor (prediction helper).
-Tensor SigmoidValue(const Tensor& logits);
-
 }  // namespace autograd
 }  // namespace mamdr
 

@@ -1,67 +1,44 @@
-#include <cmath>
-
 #include "autograd/ops.h"
+#include "tensor/nn_kernels.h"
 #include "tensor/tensor_ops.h"
 
 namespace mamdr {
 namespace autograd {
 
 Var Relu(const Var& a) {
-  Tensor out(a.value().shape());
-  for (int64_t i = 0; i < out.size(); ++i) {
-    out.at(i) = a.value().at(i) > 0.0f ? a.value().at(i) : 0.0f;
-  }
+  Tensor out = ops::Relu(a.value());
   auto an = a.node();
   Tensor av = a.value();
   return MakeOpNode(
       std::move(out), {a},
-      [an, av](const Tensor& g) {
-        Tensor gi(g.shape());
-        for (int64_t i = 0; i < g.size(); ++i) {
-          gi.at(i) = av.at(i) > 0.0f ? g.at(i) : 0.0f;
-        }
-        AccumGrad(an, gi);
-      },
+      [an, av](const Tensor& g) { AccumGrad(an, ops::ReluBackward(av, g)); },
       "relu");
 }
 
 Var Sigmoid(const Var& a) {
-  Tensor out = SigmoidValue(a.value());
+  Tensor out = ops::Sigmoid(a.value());
   auto an = a.node();
   Tensor ov = out;
   return MakeOpNode(
       std::move(out), {a},
       [an, ov](const Tensor& g) {
-        Tensor gi(g.shape());
-        for (int64_t i = 0; i < g.size(); ++i) {
-          const float s = ov.at(i);
-          gi.at(i) = g.at(i) * s * (1.0f - s);
-        }
-        AccumGrad(an, gi);
+        AccumGrad(an, ops::SigmoidBackward(ov, g));
       },
       "sigmoid");
 }
 
 Var Tanh(const Var& a) {
-  Tensor out(a.value().shape());
-  for (int64_t i = 0; i < out.size(); ++i) out.at(i) = std::tanh(a.value().at(i));
+  Tensor out = ops::Tanh(a.value());
   auto an = a.node();
   Tensor ov = out;
   return MakeOpNode(
       std::move(out), {a},
-      [an, ov](const Tensor& g) {
-        Tensor gi(g.shape());
-        for (int64_t i = 0; i < g.size(); ++i) {
-          gi.at(i) = g.at(i) * (1.0f - ov.at(i) * ov.at(i));
-        }
-        AccumGrad(an, gi);
-      },
+      [an, ov](const Tensor& g) { AccumGrad(an, ops::TanhBackward(ov, g)); },
       "tanh");
 }
 
 Var Exp(const Var& a) {
-  Tensor out(a.value().shape());
-  for (int64_t i = 0; i < out.size(); ++i) out.at(i) = std::exp(a.value().at(i));
+  Tensor out = ops::Exp(a.value());
   auto an = a.node();
   Tensor ov = out;
   return MakeOpNode(
@@ -70,67 +47,25 @@ Var Exp(const Var& a) {
 }
 
 Var Log(const Var& a, float eps) {
-  Tensor out(a.value().shape());
-  Tensor clamped(a.value().shape());
-  for (int64_t i = 0; i < out.size(); ++i) {
-    const float v = std::max(a.value().at(i), eps);
-    clamped.at(i) = v;
-    out.at(i) = std::log(v);
-  }
+  Tensor clamped = ops::ClampMin(a.value(), eps);
+  Tensor out = ops::Log(clamped);
   auto an = a.node();
   return MakeOpNode(
       std::move(out), {a},
-      [an, clamped](const Tensor& g) {
-        Tensor gi(g.shape());
-        for (int64_t i = 0; i < g.size(); ++i) gi.at(i) = g.at(i) / clamped.at(i);
-        AccumGrad(an, gi);
-      },
+      [an, clamped](const Tensor& g) { AccumGrad(an, ops::Div(g, clamped)); },
       "log");
 }
 
 Var SoftmaxRows(const Var& a) {
-  MAMDR_CHECK_EQ(a.value().rank(), 2);
-  const int64_t m = a.value().rows(), n = a.value().cols();
-  Tensor out({m, n});
-  for (int64_t i = 0; i < m; ++i) {
-    float mx = a.value().at(i, 0);
-    for (int64_t j = 1; j < n; ++j) mx = std::max(mx, a.value().at(i, j));
-    float denom = 0.0f;
-    for (int64_t j = 0; j < n; ++j) {
-      const float e = std::exp(a.value().at(i, j) - mx);
-      out.at(i, j) = e;
-      denom += e;
-    }
-    for (int64_t j = 0; j < n; ++j) out.at(i, j) /= denom;
-  }
+  Tensor out = ops::SoftmaxRows(a.value());
   auto an = a.node();
   Tensor ov = out;
   return MakeOpNode(
       std::move(out), {a},
       [an, ov](const Tensor& g) {
-        // dL/dx_ij = s_ij * (g_ij - sum_k g_ik s_ik).
-        const int64_t rows = ov.rows(), cols = ov.cols();
-        Tensor gi({rows, cols});
-        for (int64_t i = 0; i < rows; ++i) {
-          float dot = 0.0f;
-          for (int64_t k = 0; k < cols; ++k) dot += g.at(i, k) * ov.at(i, k);
-          for (int64_t j = 0; j < cols; ++j) {
-            gi.at(i, j) = ov.at(i, j) * (g.at(i, j) - dot);
-          }
-        }
-        AccumGrad(an, gi);
+        AccumGrad(an, ops::SoftmaxRowsBackward(ov, g));
       },
       "softmax_rows");
-}
-
-Tensor SigmoidValue(const Tensor& logits) {
-  Tensor out(logits.shape());
-  for (int64_t i = 0; i < out.size(); ++i) {
-    const float x = logits.at(i);
-    out.at(i) = x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                          : std::exp(x) / (1.0f + std::exp(x));
-  }
-  return out;
 }
 
 }  // namespace autograd

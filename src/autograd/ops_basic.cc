@@ -1,4 +1,5 @@
 #include "autograd/ops.h"
+#include "tensor/nn_kernels.h"
 #include "tensor/tensor_ops.h"
 
 namespace mamdr {
@@ -100,15 +101,7 @@ Var MulColVector(const Var& a, const Var& col) {
 }
 
 Var RowwiseDot(const Var& a, const Var& b) {
-  MAMDR_CHECK(a.value().shape() == b.value().shape());
-  MAMDR_CHECK_EQ(a.value().rank(), 2);
-  const int64_t m = a.value().rows(), n = a.value().cols();
-  Tensor out({m, 1});
-  for (int64_t i = 0; i < m; ++i) {
-    float acc = 0.0f;
-    for (int64_t j = 0; j < n; ++j) acc += a.value().at(i, j) * b.value().at(i, j);
-    out.at(i, 0) = acc;
-  }
+  Tensor out = ops::RowwiseDot(a.value(), b.value());
   auto an = a.node(), bn = b.node();
   Tensor av = a.value(), bv = b.value();
   return MakeOpNode(

@@ -40,8 +40,9 @@ Var Dropout(const Var& a, float p, Rng* rng, bool training) {
   MAMDR_CHECK(rng != nullptr);
   const float scale = 1.0f / (1.0f - p);
   Tensor mask(a.value().shape());
+  float* pm = mask.data();
   for (int64_t i = 0; i < mask.size(); ++i) {
-    mask.at(i) = rng->Bernoulli(p) ? 0.0f : scale;
+    pm[i] = rng->Bernoulli(p) ? 0.0f : scale;
   }
   Tensor out = ops::Mul(a.value(), mask);
   auto an = a.node();

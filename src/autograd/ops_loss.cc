@@ -1,24 +1,13 @@
-#include <cmath>
-
 #include "autograd/ops.h"
-#include "tensor/tensor_ops.h"
+#include "tensor/nn_kernels.h"
 
 namespace mamdr {
 namespace autograd {
 
 Var BceWithLogitsMean(const Var& logits, const Tensor& labels) {
-  MAMDR_CHECK(logits.value().shape() == labels.shape());
-  const int64_t n = logits.value().size();
-  MAMDR_CHECK_GT(n, 0);
-  // loss_i = max(x,0) - x*y + log(1 + exp(-|x|))  (numerically stable form)
-  double acc = 0.0;
-  for (int64_t i = 0; i < n; ++i) {
-    const float x = logits.value().at(i);
-    const float y = labels.at(i);
-    acc += std::max(x, 0.0f) - x * y + std::log1p(std::exp(-std::fabs(x)));
-  }
   Tensor out({1});
-  out.at(0) = static_cast<float>(acc / static_cast<double>(n));
+  out.data()[0] = ops::BceWithLogitsMean(logits.value(), labels);
+  const int64_t n = labels.size();
   auto ln = logits.node();
   Tensor lv = logits.value();
   Tensor yv = labels;
@@ -26,15 +15,8 @@ Var BceWithLogitsMean(const Var& logits, const Tensor& labels) {
       std::move(out), {logits},
       [ln, lv, yv, n](const Tensor& g) {
         // d/dx_i = (sigmoid(x_i) - y_i) / n.
-        Tensor gi(lv.shape());
-        const float scale = g.at(0) / static_cast<float>(n);
-        for (int64_t i = 0; i < n; ++i) {
-          const float x = lv.at(i);
-          const float s = x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                                    : std::exp(x) / (1.0f + std::exp(x));
-          gi.at(i) = scale * (s - yv.at(i));
-        }
-        AccumGrad(ln, gi);
+        const float scale = g.data()[0] / static_cast<float>(n);
+        AccumGrad(ln, ops::BceWithLogitsBackward(lv, yv, scale));
       },
       "bce_with_logits_mean");
 }

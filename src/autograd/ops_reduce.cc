@@ -1,4 +1,5 @@
 #include "autograd/ops.h"
+#include "tensor/nn_kernels.h"
 #include "tensor/tensor_ops.h"
 
 namespace mamdr {
@@ -6,13 +7,13 @@ namespace autograd {
 
 Var Sum(const Var& a) {
   Tensor out({1});
-  out.at(0) = ops::Sum(a.value());
+  out.data()[0] = ops::Sum(a.value());
   auto an = a.node();
   Shape in_shape = a.value().shape();
   return MakeOpNode(
       std::move(out), {a},
       [an, in_shape](const Tensor& g) {
-        AccumGrad(an, Tensor(in_shape, g.at(0)));
+        AccumGrad(an, Tensor(in_shape, g.data()[0]));
       },
       "sum");
 }
@@ -20,13 +21,13 @@ Var Sum(const Var& a) {
 Var Mean(const Var& a) {
   const float inv = 1.0f / static_cast<float>(a.value().size());
   Tensor out({1});
-  out.at(0) = ops::Sum(a.value()) * inv;
+  out.data()[0] = ops::Sum(a.value()) * inv;
   auto an = a.node();
   Shape in_shape = a.value().shape();
   return MakeOpNode(
       std::move(out), {a},
       [an, in_shape, inv](const Tensor& g) {
-        AccumGrad(an, Tensor(in_shape, g.at(0) * inv));
+        AccumGrad(an, Tensor(in_shape, g.data()[0] * inv));
       },
       "mean");
 }
@@ -37,15 +38,8 @@ Var SumCols(const Var& a) {
   const int64_t n = a.value().cols();
   return MakeOpNode(
       std::move(out), {a},
-      [an, n](const Tensor& g) {
-        // g is [m,1]; broadcast back to [m,n].
-        const int64_t m = g.rows();
-        Tensor gi({m, n});
-        for (int64_t i = 0; i < m; ++i) {
-          for (int64_t j = 0; j < n; ++j) gi.at(i, j) = g.at(i, 0);
-        }
-        AccumGrad(an, gi);
-      },
+      // g is [m,1]; broadcast back to [m,n].
+      [an, n](const Tensor& g) { AccumGrad(an, ops::BroadcastCol(g, n)); },
       "sum_cols");
 }
 
@@ -55,14 +49,8 @@ Var SumRows(const Var& a) {
   const int64_t m = a.value().rows();
   return MakeOpNode(
       std::move(out), {a},
-      [an, m](const Tensor& g) {
-        const int64_t n = g.cols();
-        Tensor gi({m, n});
-        for (int64_t i = 0; i < m; ++i) {
-          for (int64_t j = 0; j < n; ++j) gi.at(i, j) = g.at(0, j);
-        }
-        AccumGrad(an, gi);
-      },
+      // g is [1,n]; broadcast back to [m,n].
+      [an, m](const Tensor& g) { AccumGrad(an, ops::BroadcastRow(g, m)); },
       "sum_rows");
 }
 

@@ -1,68 +1,43 @@
 #include "autograd/ops.h"
+#include "tensor/nn_kernels.h"
 #include "tensor/tensor_ops.h"
 
 namespace mamdr {
 namespace autograd {
 
 Var ConcatCols(const std::vector<Var>& parts) {
-  MAMDR_CHECK(!parts.empty());
-  const int64_t m = parts[0].value().rows();
-  int64_t total = 0;
+  std::vector<const Tensor*> values;
+  std::vector<std::shared_ptr<Node>> nodes;
+  values.reserve(parts.size());
+  nodes.reserve(parts.size());
   for (const auto& p : parts) {
-    MAMDR_CHECK_EQ(p.value().rank(), 2);
-    MAMDR_CHECK_EQ(p.value().rows(), m);
-    total += p.value().cols();
+    values.push_back(&p.value());
+    nodes.push_back(p.node());
   }
-  Tensor out({m, total});
-  int64_t off = 0;
+  Tensor out = ops::ConcatCols(values);
   std::vector<int64_t> widths;
   widths.reserve(parts.size());
-  for (const auto& p : parts) {
-    const int64_t n = p.value().cols();
-    widths.push_back(n);
-    for (int64_t i = 0; i < m; ++i) {
-      for (int64_t j = 0; j < n; ++j) out.at(i, off + j) = p.value().at(i, j);
-    }
-    off += n;
-  }
-  std::vector<std::shared_ptr<Node>> nodes;
-  nodes.reserve(parts.size());
-  for (const auto& p : parts) nodes.push_back(p.node());
+  for (const Tensor* v : values) widths.push_back(v->cols());
   return MakeOpNode(
       std::move(out), parts,
-      [nodes, widths, m](const Tensor& g) {
+      [nodes, widths](const Tensor& g) {
         int64_t col0 = 0;
         for (size_t k = 0; k < nodes.size(); ++k) {
-          const int64_t w = widths[k];
-          Tensor gi({m, w});
-          for (int64_t i = 0; i < m; ++i) {
-            for (int64_t j = 0; j < w; ++j) gi.at(i, j) = g.at(i, col0 + j);
-          }
-          AccumGrad(nodes[k], gi);
-          col0 += w;
+          AccumGrad(nodes[k], ops::SliceCols(g, col0, widths[k]));
+          col0 += widths[k];
         }
       },
       "concat_cols");
 }
 
 Var SliceCols(const Var& a, int64_t start, int64_t len) {
-  MAMDR_CHECK_EQ(a.value().rank(), 2);
-  const int64_t m = a.value().rows(), n = a.value().cols();
-  MAMDR_CHECK_GE(start, 0);
-  MAMDR_CHECK_LE(start + len, n);
-  Tensor out({m, len});
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < len; ++j) out.at(i, j) = a.value().at(i, start + j);
-  }
+  Tensor out = ops::SliceCols(a.value(), start, len);
   auto an = a.node();
+  const int64_t n = a.value().cols();
   return MakeOpNode(
       std::move(out), {a},
-      [an, m, n, start, len](const Tensor& g) {
-        Tensor gi({m, n});
-        for (int64_t i = 0; i < m; ++i) {
-          for (int64_t j = 0; j < len; ++j) gi.at(i, start + j) = g.at(i, j);
-        }
-        AccumGrad(an, gi);
+      [an, start, n](const Tensor& g) {
+        AccumGrad(an, ops::PadCols(g, start, n));
       },
       "slice_cols");
 }

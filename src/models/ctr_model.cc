@@ -1,6 +1,7 @@
 #include "models/ctr_model.h"
 
 #include "autograd/tape.h"
+#include "tensor/nn_kernels.h"
 
 namespace mamdr {
 namespace models {
@@ -9,7 +10,7 @@ std::vector<float> CtrModel::Score(const data::Batch& batch, int64_t domain) {
   autograd::NoGradGuard no_grad;
   nn::Context ctx;  // eval mode
   Var logits = Forward(batch, domain, ctx);
-  Tensor probs = autograd::SigmoidValue(logits.value());
+  Tensor probs = ops::Sigmoid(logits.value());
   std::vector<float> out(static_cast<size_t>(probs.size()));
   std::copy(probs.data(), probs.data() + probs.size(), out.begin());
   return out;

@@ -28,13 +28,7 @@ void MetaInterpolate(const std::vector<Var>& params,
   MAMDR_CHECK_EQ(params.size(), snap.size());
   for (size_t i = 0; i < params.size(); ++i) {
     Var p = params[i];
-    Tensor& v = p.mutable_value();
-    const Tensor& s = snap[i];
-    MAMDR_CHECK(v.shape() == s.shape());
-    float* pv = v.data();
-    const float* ps = s.data();
-    const int64_t n = v.size();
-    for (int64_t j = 0; j < n; ++j) pv[j] = ps[j] + beta * (pv[j] - ps[j]);
+    ops::InterpolateInPlace(&p.mutable_value(), snap[i], beta);
   }
 }
 

@@ -65,20 +65,68 @@ Recommender::Recommender(models::CtrModel* model, metrics::ScoreFn scorer)
 
 Recommender::~Recommender() = default;
 
+class Recommender::ReadGuard {
+ public:
+  explicit ReadGuard(const Recommender& rec) {
+    // Announce under the current epoch; if a writer advanced it meanwhile,
+    // withdraw and announce again, so a reader only ever counts under the
+    // epoch that was current when its announcement became visible.
+    for (;;) {
+      const uint64_t e = rec.epoch_.load(std::memory_order_seq_cst);
+      active_ = &rec.readers_[e & 1];
+      active_->fetch_add(1, std::memory_order_seq_cst);
+      if (rec.epoch_.load(std::memory_order_seq_cst) == e) return;
+      active_->fetch_sub(1, std::memory_order_release);
+    }
+  }
+  ~ReadGuard() { active_->fetch_sub(1, std::memory_order_release); }
+  ReadGuard(const ReadGuard&) = delete;
+  ReadGuard& operator=(const ReadGuard&) = delete;
+
+ private:
+  std::atomic<int64_t>* active_ = nullptr;
+};
+
 const Recommender::Snapshot* Recommender::Publish(
     std::unique_ptr<const Snapshot> next) const {
   const Snapshot* raw = next.get();
-  retired_.push_back(std::move(next));
-  // Release pairs with the acquire in FindDomain: a reader that sees the
-  // new pointer sees the fully built snapshot behind it. Old snapshots
-  // stay alive in retired_ for readers still holding them.
-  snapshot_.store(raw, std::memory_order_release);
+  snapshot_.store(raw, std::memory_order_seq_cst);
+  if (current_ != nullptr) {
+    retired_.push_back(
+        {epoch_.load(std::memory_order_relaxed), std::move(current_)});
+  }
+  current_ = std::move(next);
+  Reclaim();
   return raw;
+}
+
+bool Recommender::Drained(uint64_t parity) const {
+  // Acquire pairs with the release in ~ReadGuard: a reader's last use of a
+  // snapshot happens before the free that follows this check.
+  return readers_[parity].load(std::memory_order_seq_cst) == 0;
+}
+
+void Recommender::Reclaim() const {
+  for (int step = 0; step < 2; ++step) {
+    const uint64_t e = epoch_.load(std::memory_order_relaxed);
+    // Readers of epoch e - 1 (the parity e + 1 shares) must all be gone
+    // before that parity is reused for epoch e + 1.
+    if (!Drained((e + 1) & 1)) break;
+    epoch_.store(e + 1, std::memory_order_seq_cst);
+  }
+  const uint64_t e = epoch_.load(std::memory_order_relaxed);
+  std::erase_if(retired_,
+                [e](const Retired& r) { return r.epoch + 2 <= e; });
+}
+
+int64_t Recommender::live_snapshots() const {
+  MutexLock lock(&setup_mu_);  // mamdr-lint: allow(hot-path-lock) test hook
+  return static_cast<int64_t>(retired_.size()) + 1;
 }
 
 const Recommender::DomainState* Recommender::FindDomain(
     int64_t domain) const {
-  const Snapshot* snap = snapshot_.load(std::memory_order_acquire);
+  const Snapshot* snap = snapshot_.load(std::memory_order_seq_cst);
   auto it = snap->domains.find(domain);
   return it == snap->domains.end() ? nullptr : &it->second;
 }
@@ -90,7 +138,7 @@ const Recommender::DomainState& Recommender::EnsureDomain(
   // snapshot that carries its resolved metric pointers (and an empty
   // candidate pool). One-time setup cost per domain, never steady state.
   MutexLock lock(&setup_mu_);  // mamdr-lint: allow(hot-path-lock) setup path
-  const Snapshot* cur = snapshot_.load(std::memory_order_relaxed);
+  const Snapshot* cur = current_.get();
   auto it = cur->domains.find(domain);
   if (it != cur->domains.end()) return it->second;  // raced with a writer
   auto next = std::make_unique<Snapshot>(*cur);
@@ -105,8 +153,7 @@ const Recommender::DomainState& Recommender::EnsureDomain(
 
 void Recommender::SetCandidates(int64_t domain, std::vector<int64_t> items) {
   MutexLock lock(&setup_mu_);  // mamdr-lint: allow(hot-path-lock) setup path
-  const Snapshot* cur = snapshot_.load(std::memory_order_relaxed);
-  auto next = std::make_unique<Snapshot>(*cur);
+  auto next = std::make_unique<Snapshot>(*current_);
   DomainState& state = next->domains[domain];
   if (state.topk_requests == nullptr) {
     ResolveDomainMetrics(domain, &state.topk_requests, &state.rank_requests,
@@ -115,11 +162,6 @@ void Recommender::SetCandidates(int64_t domain, std::vector<int64_t> items) {
   state.candidates = std::move(items);
   state.pool_size->Set(static_cast<double>(state.candidates.size()));
   Publish(std::unique_ptr<const Snapshot>(next.release()));
-}
-
-const std::vector<int64_t>& Recommender::candidates(int64_t domain) const {
-  const DomainState* state = FindDomain(domain);
-  return state == nullptr ? empty_ : state->candidates;
 }
 
 std::vector<RankedItem> Recommender::RankImpl(
@@ -135,13 +177,17 @@ std::vector<RankedItem> Recommender::RankImpl(
 
 std::vector<RankedItem> Recommender::Rank(
     int64_t user, int64_t domain, const std::vector<int64_t>& items) const {
-  EnsureDomain(domain).rank_requests->Add();
+  {
+    ReadGuard guard(*this);
+    EnsureDomain(domain).rank_requests->Add();
+  }
   obs::ScopedLatencyTimer timer(rank_latency_);
   return RankImpl(user, domain, items);
 }
 
 std::vector<RankedItem> Recommender::TopK(int64_t user, int64_t domain,
                                           int64_t k) const {
+  ReadGuard guard(*this);
   const DomainState& state = EnsureDomain(domain);
   state.topk_requests->Add();
   obs::ScopedLatencyTimer timer(topk_latency_);
@@ -155,6 +201,7 @@ std::vector<RankedItem> Recommender::TopK(int64_t user, int64_t domain,
 std::vector<std::vector<RankedItem>> Recommender::TopKBatched(
     const std::vector<TopKRequest>& requests) const {
   obs::ScopedLatencyTimer timer(batch_latency_);
+  ReadGuard guard(*this);
   std::vector<BatchedScorer::Request> score_reqs(requests.size());
   for (size_t r = 0; r < requests.size(); ++r) {
     const DomainState& state = EnsureDomain(requests[r].domain);

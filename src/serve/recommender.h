@@ -35,16 +35,17 @@ struct RankedItem {
 /// in an immutable snapshot published through one atomic pointer.
 /// `TopK`/`Rank`/`TopKBatched` are safe to call from any number of threads
 /// concurrently and take NO lock in the steady state: a request is one
-/// acquire-load of the snapshot pointer, a hash lookup, relaxed atomic
-/// metric bumps, and the scoring pass. Writers (`SetCandidates`, plus the
-/// one-time lazy registration of a never-seen domain) serialize on a setup
-/// mutex, rebuild the snapshot copy-on-write, and publish it with a
-/// release store — concurrent readers keep using the snapshot they loaded.
-/// Retired snapshots are kept alive until the Recommender is destroyed, so
-/// references handed out (e.g. `candidates()`) never dangle; the intended
-/// lifecycle is still "register pools, then serve" — SetCandidates is
-/// correct under live traffic but costs a full snapshot copy, so it is not
-/// a hot-path operation.
+/// epoch announcement (an increment of one of two reader counts),
+/// one load of the snapshot pointer, a hash lookup, relaxed atomic metric
+/// bumps, and the scoring pass. Writers (`SetCandidates`, plus the one-time
+/// lazy registration of a never-seen domain) serialize on a setup mutex,
+/// rebuild the snapshot copy-on-write, and publish it — concurrent readers
+/// keep using the snapshot they loaded. A replaced snapshot is freed by a
+/// later writer once every reader that could still hold it has left
+/// (epoch-based reclamation over two reader epochs: see Reclaim()), so a
+/// refresh stream under live traffic keeps a bounded number of snapshots
+/// alive. SetCandidates costs a full snapshot copy, so it is not a
+/// hot-path operation.
 ///
 /// Thread safety of the scoring pass itself is inherited from the scorer:
 /// the default model path is safe for concurrent read-only inference; a
@@ -62,11 +63,6 @@ class Recommender {
   /// publish: safe concurrently with readers, serialized against other
   /// writers. Not a hot-path call (see class comment).
   void SetCandidates(int64_t domain, std::vector<int64_t> items);
-
-  /// Candidates registered for a domain (empty vector if none). The
-  /// reference stays valid for the Recommender's lifetime but goes stale
-  /// if SetCandidates replaces the pool.
-  const std::vector<int64_t>& candidates(int64_t domain) const;
 
   /// Score all candidates of the domain for the user and return the top k,
   /// highest score first; equal scores order by ascending item id so the
@@ -97,6 +93,10 @@ class Recommender {
   std::vector<std::vector<RankedItem>> TopKBatched(
       const std::vector<TopKRequest>& requests) const;
 
+  /// Snapshots currently allocated: the published one plus those retired
+  /// but not yet freed because a reader may still hold them.
+  int64_t live_snapshots() const MAMDR_EXCLUDES(setup_mu_);
+
  private:
   /// Immutable per-domain serving state. Metric pointers are resolved once
   /// per domain (registry-lifetime) and carried from snapshot to snapshot.
@@ -110,20 +110,35 @@ class Recommender {
     std::unordered_map<int64_t, DomainState> domains;
   };
 
+  /// Read-side critical section of the reclamation scheme: while one is
+  /// alive on a thread, no snapshot that thread loaded (or published) is
+  /// freed. Every request path holds one around all its snapshot use.
+  class ReadGuard;
+
   /// Lock-free lookup in the current snapshot; nullptr when the domain has
-  /// never been seen.
+  /// never been seen. Caller holds a ReadGuard.
   const DomainState* FindDomain(int64_t domain) const;
 
   /// FindDomain, or (first request for the domain) copy-on-write publish
-  /// of a snapshot that includes it. Returns a reference that lives until
-  /// the Recommender is destroyed.
+  /// of a snapshot that includes it. The reference is valid while the
+  /// caller's ReadGuard is.
   const DomainState& EnsureDomain(int64_t domain) const
       MAMDR_EXCLUDES(setup_mu_);
 
-  /// Install `next` as the current snapshot, retiring the previous one
-  /// (kept alive for concurrent readers until destruction).
+  /// Install `next` as the current snapshot, retire the previous one and
+  /// free what Reclaim() proves no reader can hold.
   const Snapshot* Publish(std::unique_ptr<const Snapshot> next) const
       MAMDR_REQUIRES(setup_mu_);
+
+  /// Advance the reader epoch past every epoch whose readers have all left
+  /// (at most two steps) and free the retired snapshots no remaining
+  /// reader can hold: one retired during epoch r is reachable only by
+  /// readers that entered at an epoch <= r, and the epoch reaches r + 2
+  /// only after all of those have left.
+  void Reclaim() const MAMDR_REQUIRES(setup_mu_);
+
+  /// True when no reader announced under epoch parity `parity` is active.
+  bool Drained(uint64_t parity) const;
 
   /// The uninstrumented scoring + sort core shared by TopK and Rank (so
   /// each public API observes its own end-to-end latency exactly once).
@@ -132,7 +147,6 @@ class Recommender {
 
   models::CtrModel* model_;
   metrics::ScoreFn scorer_;
-  std::vector<int64_t> empty_;
 
   obs::Histogram* topk_latency_;  // registry-lifetime, cached at ctor
   obs::Histogram* rank_latency_;
@@ -140,14 +154,23 @@ class Recommender {
 
   /// Writers serialize here; readers never touch it.
   mutable Mutex setup_mu_{MAMDR_LOCK_CLASS("serve.recommender.setup")};
-  /// Current snapshot (acquire-load on every request; release-store on
-  /// publish). Owned by retired_.
-  mutable std::atomic<const Snapshot*> snapshot_;
-  /// Every snapshot ever published, newest last. Grows by one entry per
-  /// SetCandidates / first-seen domain — bounded by the setup-then-serve
-  /// lifecycle, freed in the destructor.
-  mutable std::vector<std::unique_ptr<const Snapshot>> retired_
-      MAMDR_GUARDED_BY(setup_mu_);
+  /// Current snapshot, loaded by every request and stored on publish
+  /// (both seq_cst: the reclamation argument orders them against the
+  /// epoch). Owned by current_.
+  mutable std::atomic<const Snapshot*> snapshot_{nullptr};
+  mutable std::unique_ptr<const Snapshot> current_ MAMDR_GUARDED_BY(setup_mu_);
+
+  /// Reader epoch; only writers advance it (under setup_mu_).
+  mutable std::atomic<uint64_t> epoch_{0};
+  /// Active readers per epoch parity.
+  mutable std::atomic<int64_t> readers_[2] = {0, 0};
+
+  struct Retired {
+    uint64_t epoch = 0;  // epoch during which it was replaced
+    std::unique_ptr<const Snapshot> snapshot;
+  };
+  /// Replaced snapshots that a reader may still hold, oldest first.
+  mutable std::vector<Retired> retired_ MAMDR_GUARDED_BY(setup_mu_);
 };
 
 /// Offline top-K quality on a domain's test positives, with the standard

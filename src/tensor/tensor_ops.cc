@@ -288,6 +288,15 @@ void AxpyInPlace(Tensor* y, const Tensor& x, float alpha) {
   });
 }
 
+void InterpolateInPlace(Tensor* y, const Tensor& base, float beta) {
+  CheckSameShape(*y, base);
+  float* py = y->data();
+  const float* pb = base.data();
+  ParallelFor(0, y->size(), kElemGrain, [=](int64_t s, int64_t e) {
+    for (int64_t i = s; i < e; ++i) py[i] = pb[i] + beta * (py[i] - pb[i]);
+  });
+}
+
 void ScaleInPlace(Tensor* y, float alpha) {
   float* py = y->data();
   ParallelFor(0, y->size(), kElemGrain, [=](int64_t s, int64_t e) {

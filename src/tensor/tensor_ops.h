@@ -39,6 +39,9 @@ Tensor Axpy(const Tensor& a, const Tensor& b, float alpha);
 /// In-place y += alpha * x.
 void AxpyInPlace(Tensor* y, const Tensor& x, float alpha);
 
+/// In-place y = base + beta * (y - base) (shapes must match).
+void InterpolateInPlace(Tensor* y, const Tensor& base, float beta);
+
 /// In-place y *= alpha.
 void ScaleInPlace(Tensor* y, float alpha);
 

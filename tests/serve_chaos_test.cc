@@ -12,8 +12,11 @@
 // pools) because under concurrent mutation there is no single expected
 // ranking — the bitwise-equivalence claims live in serve_test.cc where
 // the world holds still. TSan provides the memory-model verdict.
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -114,11 +117,11 @@ TEST_F(ServeChaosTest, ConcurrentTopKUnderLiveSetCandidates) {
           responses.push_back(rec.TopK(user, domain, k));
         }
         for (const auto& resp : responses) {
-          for (size_t i = 0; i < resp.size(); ++i) {
-            if (i > 0 && resp[i - 1].score < resp[i].score) {
+          for (size_t r = 0; r < resp.size(); ++r) {
+            if (r > 0 && resp[r - 1].score < resp[r].score) {
               errors[t] = "scores not sorted descending";
             }
-            if (valid.count(resp[i].item) == 0) {
+            if (valid.count(resp[r].item) == 0) {
               errors[t] = "item outside every published pool";
             }
           }
@@ -156,6 +159,54 @@ TEST_F(ServeChaosTest, FirstTouchDomainRegistrationRaces) {
   // After the stampede each domain still accepts candidates normally.
   rec.SetCandidates(0, {1, 2, 3});
   EXPECT_EQ(rec.TopK(0, 0, 3).size(), 3u);
+}
+
+// Every SetCandidates replaces the published snapshot. A replaced one must
+// be freed once no reader can still hold it, so a long refresh stream under
+// live TopK traffic keeps a bounded number alive. The writer waits for each
+// reader to finish a request begun after its previous refresh, so by the
+// next refresh only readers of the current epoch are in flight and exactly
+// the snapshot replaced last may still be held. TSan and ASan check that
+// no reader touches a freed snapshot.
+TEST_F(ServeChaosTest, RefreshUnderConcurrentTopKFreesRetiredSnapshots) {
+  Recommender rec(model_.get());
+  const std::vector<int64_t> pool_a{1, 2, 3, 4, 5, 6, 7, 8};
+  const std::vector<int64_t> pool_b{9, 10, 11, 12};
+  rec.SetCandidates(0, pool_a);
+  rec.SetCandidates(1, pool_b);
+
+  constexpr int kReaders = 4;
+  constexpr int kRefreshes = 1000;
+  std::atomic<bool> stop{false};
+  std::array<std::atomic<int64_t>, kReaders> done{};
+  std::vector<std::string> errors(kReaders);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      for (int64_t g = t; !stop.load(); ++g) {
+        if (rec.TopK(g % 7, g % 2, 3).size() != 3) errors[t] = "short TopK";
+        done[t].fetch_add(1);
+        std::this_thread::yield();  // leave the writer a core
+      }
+    });
+  }
+  int64_t max_live = 0;
+  for (int r = 0; r < kRefreshes; ++r) {
+    std::array<int64_t, kReaders> seen{};
+    for (int t = 0; t < kReaders; ++t) seen[t] = done[t].load();
+    for (int t = 0; t < kReaders; ++t) {
+      while (done[t].load() < seen[t] + 2) std::this_thread::yield();
+    }
+    rec.SetCandidates(r % 2, (r / 2) % 2 == 0 ? pool_a : pool_b);
+    max_live = std::max(max_live, rec.live_snapshots());
+  }
+  stop = true;
+  for (auto& th : readers) th.join();
+  for (const auto& e : errors) EXPECT_EQ(e, "");
+  EXPECT_LE(max_live, 2);
+  // With no reader left, one more refresh frees everything it replaces.
+  rec.SetCandidates(0, pool_a);
+  EXPECT_EQ(rec.live_snapshots(), 1);
 }
 
 }  // namespace

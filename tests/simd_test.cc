@@ -12,6 +12,10 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "optim/adagrad.h"
+#include "optim/adam.h"
+#include "optim/param_snapshot.h"
+#include "tensor/nn_kernels.h"
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
@@ -185,6 +189,153 @@ TEST(SimdTensorOpsTest, MatMulIdenticalWithSimdOnAndOff) {
     ASSERT_EQ(std::memcmp(c_on.data(), naive.data(),
                           static_cast<size_t>(naive.size()) * sizeof(float)),
               0);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Optimizer kernels. The reference is the per-element loop optim::Adam and
+// optim::Adagrad ran before the fused kernels, kept here verbatim and built
+// with the tests' flags (errno-setting sqrt, so not vectorized). Every step
+// of a 20-step run of the kernel, which src/tensor's flags let the compiler
+// vectorize, is compared with memcmp against that loop, on sizes that leave
+// every vector tail.
+// ---------------------------------------------------------------------------
+
+constexpr int64_t kOptimSizes[] = {1, 7, 8, 9, 255, 1023};
+constexpr int kOptimSteps = 20;
+constexpr float kLr = 0.01f, kBeta1 = 0.9f, kBeta2 = 0.999f, kEps = 1e-8f;
+
+void ReferenceAdamStep(std::vector<float>* w, std::vector<float>* m,
+                       std::vector<float>* v, const std::vector<float>& g,
+                       int64_t t) {
+  const float beta1_ = kBeta1, beta2_ = kBeta2, eps_ = kEps, lr_ = kLr;
+  const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t));
+  const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t));
+  float* pm = m->data();
+  float* pv = v->data();
+  const float* pg = g.data();
+  float* pw = w->data();
+  const int64_t n = static_cast<int64_t>(g.size());
+  for (int64_t j = 0; j < n; ++j) {
+    pm[j] = beta1_ * pm[j] + (1.0f - beta1_) * pg[j];
+    pv[j] = beta2_ * pv[j] + (1.0f - beta2_) * pg[j] * pg[j];
+    const float mhat = pm[j] / bc1;
+    const float vhat = pv[j] / bc2;
+    pw[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+  }
+}
+
+void ReferenceAdagradStep(std::vector<float>* w, std::vector<float>* acc,
+                          const std::vector<float>& g) {
+  const float lr_ = kLr, eps_ = kEps;
+  float* pa = acc->data();
+  const float* pg = g.data();
+  float* pw = w->data();
+  const int64_t n = static_cast<int64_t>(g.size());
+  for (int64_t j = 0; j < n; ++j) {
+    pa[j] += pg[j] * pg[j];
+    pw[j] -= lr_ * pg[j] / (std::sqrt(pa[j]) + eps_);
+  }
+}
+
+bool SameBits(const float* a, const float* b, int64_t n) {
+  return std::memcmp(a, b, static_cast<size_t>(n) * sizeof(float)) == 0;
+}
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         SameBits(a.data(), b.data(), static_cast<int64_t>(a.size()));
+}
+
+/// One parameter vector's optimizer state, advanced by one code path.
+struct AdamState {
+  std::vector<float> w, m, v;
+  explicit AdamState(const std::vector<float>& w0)
+      : w(w0), m(w0.size(), 0.0f), v(w0.size(), 0.0f) {}
+};
+
+TEST(OptimizerKernelTest, AdamKernelMatchesReferenceBitwise) {
+  Rng rng(53);
+  for (const int64_t n : kOptimSizes) {
+    const auto w0 = RandomVec(n, &rng);
+    AdamState ref(w0), got(w0);
+    for (int64_t t = 1; t <= kOptimSteps; ++t) {
+      const auto g = RandomVec(n, &rng);
+      ReferenceAdamStep(&ref.w, &ref.m, &ref.v, g, t);
+      const ops::AdamConstants c{
+          kLr, kBeta1, kBeta2, kEps,
+          1.0f - std::pow(kBeta1, static_cast<float>(t)),
+          1.0f - std::pow(kBeta2, static_cast<float>(t))};
+      ops::AdamUpdate(got.w.data(), got.m.data(), got.v.data(), g.data(), n,
+                      c);
+      ASSERT_TRUE(SameBits(got.m, ref.m)) << "m n=" << n << " t=" << t;
+      ASSERT_TRUE(SameBits(got.v, ref.v)) << "v n=" << n << " t=" << t;
+      ASSERT_TRUE(SameBits(got.w, ref.w)) << "w n=" << n << " t=" << t;
+    }
+  }
+}
+
+TEST(OptimizerKernelTest, AdagradKernelMatchesReferenceBitwise) {
+  Rng rng(59);
+  for (const int64_t n : kOptimSizes) {
+    const auto w0 = RandomVec(n, &rng);
+    std::vector<float> ref_w = w0, ref_acc(w0.size(), 0.0f);
+    std::vector<float> got_w = w0, got_acc = ref_acc;
+    for (int64_t t = 1; t <= kOptimSteps; ++t) {
+      const auto g = RandomVec(n, &rng);
+      ReferenceAdagradStep(&ref_w, &ref_acc, g);
+      ops::AdagradUpdate(got_w.data(), got_acc.data(), g.data(), n, kLr,
+                         kEps);
+      ASSERT_TRUE(SameBits(got_acc, ref_acc)) << "n=" << n << " t=" << t;
+      ASSERT_TRUE(SameBits(got_w, ref_w)) << "n=" << n << " t=" << t;
+    }
+  }
+}
+
+/// Loads g into a parameter's gradient buffer.
+void SetGrad(autograd::Var* p, const std::vector<float>& g) {
+  p->ZeroGrad();
+  std::copy(g.begin(), g.end(), p->mutable_grad().data());
+}
+
+// The optimizer classes end to end (step counter, bias corrections, the
+// per-parameter loop) against the reference loops.
+TEST(OptimizerKernelTest, OptimizerStepsMatchReference) {
+  Rng rng(61);
+  const int64_t n = 1023;
+  const auto w0 = RandomVec(n, &rng);
+  autograd::Var adam_p(Tensor({n}, w0), true);
+  autograd::Var adagrad_p(Tensor({n}, w0), true);
+  optim::Adam adam({adam_p}, kLr, kBeta1, kBeta2, kEps);
+  optim::Adagrad adagrad({adagrad_p}, kLr, kEps);
+  AdamState ref(w0);
+  std::vector<float> ref_w = w0, ref_acc(w0.size(), 0.0f);
+  for (int64_t t = 1; t <= kOptimSteps; ++t) {
+    const auto g = RandomVec(n, &rng);
+    SetGrad(&adam_p, g);
+    SetGrad(&adagrad_p, g);
+    adam.Step();
+    adagrad.Step();
+    ReferenceAdamStep(&ref.w, &ref.m, &ref.v, g, t);
+    ReferenceAdagradStep(&ref_w, &ref_acc, g);
+    ASSERT_TRUE(SameBits(adam_p.value().data(), ref.w.data(), n))
+        << "adam t=" << t;
+    ASSERT_TRUE(SameBits(adagrad_p.value().data(), ref_w.data(), n))
+        << "adagrad t=" << t;
+  }
+}
+
+TEST(OptimizerKernelTest, MetaInterpolateMatchesReferenceLoop) {
+  Rng rng(67);
+  const float beta = 0.37f;
+  for (const int64_t n : kOptimSizes) {
+    const auto w0 = RandomVec(n, &rng);
+    const auto s0 = RandomVec(n, &rng);
+    autograd::Var p(Tensor({n}, w0), true);
+    optim::MetaInterpolate({p}, {Tensor({n}, s0)}, beta);
+    std::vector<float> want = w0;
+    for (int64_t j = 0; j < n; ++j) want[j] = s0[j] + beta * (want[j] - s0[j]);
+    ASSERT_TRUE(SameBits(p.value().data(), want.data(), n)) << "n=" << n;
   }
 }
 

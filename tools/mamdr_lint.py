@@ -4,10 +4,12 @@
 Rules (suppress a finding by appending ``// mamdr-lint: allow(<rule>)`` to
 the offending line):
 
-  kernel-at       ``.at(`` in src/tensor or src/nn. Bounds-checked element
-                  access in kernel code hides O(n) checks in hot loops; use
-                  raw ``data()`` pointers (the public kernel entry points
-                  validate shapes once).
+  kernel-at       ``.at(`` in src/tensor, src/nn, src/autograd or src/optim.
+                  Bounds-checked element access in kernel code, and in the
+                  per-step forward/backward/optimizer code built on it,
+                  hides O(n) checks in hot loops; use raw ``data()``
+                  pointers (the public kernel entry points validate shapes
+                  once).
   kernel-double   a ``double`` variable/parameter declaration in src/tensor.
                   Kernels accumulate in float32 so blocked/parallel paths
                   stay bit-identical to the serial contract; widening an
@@ -251,7 +253,8 @@ def lint_text(rel_path: str, text: str) -> List[Finding]:
     lines = text.splitlines()
     findings: List[Finding] = []
 
-    hot_kernel_file = _in_dir(rel_path, "src/tensor", "src/nn")
+    hot_kernel_file = _in_dir(rel_path, "src/tensor", "src/nn",
+                              "src/autograd", "src/optim")
     kernel_float_file = _in_dir(rel_path, "src/tensor")
     library_file = not _in_dir(rel_path, "tools", "bench")
     status_file = _in_dir(rel_path, "src/ps", "src/checkpoint")

@@ -30,6 +30,23 @@ class KernelAtRule(unittest.TestCase):
             "src/nn/linear.cc", "float v = w.at(0, 1);\n")
         self.assertIn("kernel-at", rules(findings))
 
+    def test_flags_at_in_autograd(self):
+        findings = mamdr_lint.lint_text(
+            "src/autograd/ops_activation.cc",
+            "  gi.at(i) = av.at(i) > 0.0f ? g.at(i) : 0.0f;\n")
+        self.assertIn("kernel-at", rules(findings))
+
+    def test_flags_at_in_optim(self):
+        findings = mamdr_lint.lint_text(
+            "src/optim/adam.cc", "  w.at(j) -= lr * m.at(j);\n")
+        self.assertIn("kernel-at", rules(findings))
+
+    def test_suppression_comment_in_autograd(self):
+        findings = mamdr_lint.lint_text(
+            "src/autograd/grad_check.cc",
+            "float v = x.at(1);  // mamdr-lint: allow(kernel-at)\n")
+        self.assertNotIn("kernel-at", rules(findings))
+
     def test_ignores_at_outside_kernel_dirs(self):
         findings = mamdr_lint.lint_text(
             "src/core/mamdr.cc", "float v = w.at(0, 1);\n")
